@@ -646,6 +646,44 @@ func benchmarkFeedRead(b *testing.B, opts ...nvdfeed.ReaderOption) {
 	}
 }
 
+// BenchmarkFeedReadOneFileParallel decodes one single-year feed file on
+// the worker pool: the file is cut into chunks that decode concurrently
+// (the ingest half of a one-year delta reload).
+func BenchmarkFeedReadOneFileParallel(b *testing.B) {
+	benchmarkFeedReadOneFile(b, nvdfeed.Workers(benchWorkers))
+}
+
+// BenchmarkFeedReadOneFileSerial is the single-goroutine baseline of the
+// same file.
+func BenchmarkFeedReadOneFileSerial(b *testing.B) {
+	benchmarkFeedReadOneFile(b)
+}
+
+// oneFileBenchEntries is the size of the single-year feed, about one
+// year of the 100k synthetic corpus.
+const oneFileBenchEntries = 8000
+
+func benchmarkFeedReadOneFile(b *testing.B, opts ...nvdfeed.ReaderOption) {
+	b.Helper()
+	sc, err := corpus.GenerateSynthetic(corpus.SyntheticConfig{
+		Entries: oneFileBenchEntries, Seed: synthBenchSeed, FromYear: 2025, ToYear: 2025,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "nvdcve-2.0-2025.xml.gz")
+	if err := nvdfeed.WriteFile(path, "CVE-2025", sc.Entries); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries, err := nvdfeed.ReadFile(path, opts...)
+		if err != nil || len(entries) != len(sc.Entries) {
+			b.Fatalf("read: %v, %d entries", err, len(entries))
+		}
+	}
+}
+
 // writeBenchFeeds renders entries as per-year feed files, paths in year
 // order.
 func writeBenchFeeds(b *testing.B, entries []*cve.Entry) []string {

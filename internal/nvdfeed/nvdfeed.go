@@ -84,28 +84,36 @@ type xmlBaseMetrics struct {
 
 // Reader streams entries out of one XML feed.
 type Reader struct {
-	dec     *xml.Decoder
+	src     io.Reader
+	dec     *xml.Decoder // created on first use; nil means src is untouched
 	lenient bool
 	skipped atomic.Int64
 	stats   []*SkipStats
 	workers int
 	closers []io.Closer
+	// lineOffset is added to the line of every XML syntax error, so a
+	// chunk decoder (stream.go) reports lines of the whole file.
+	lineOffset int
 }
 
 // ReaderOption configures a Reader.
 type ReaderOption func(*Reader)
 
-// Lenient makes the reader skip entries that fail to decode or convert,
-// counting them instead of failing the stream. The default is strict.
+// Lenient makes the reader skip entries that fail to convert (a bad CVE
+// identifier, CPE name, datetime or CVSS vector), counting them instead
+// of failing the stream. Malformed XML stays terminal in both modes:
+// encoding/xml cannot resume after a syntax error. The default is
+// strict.
 func Lenient() ReaderOption {
 	return func(r *Reader) { r.lenient = true }
 }
 
 // Workers sets the parallelism of the batch readers (ReadAll, ReadFile,
-// ReadFiles). The XML tokenizer stays sequential per file, but entry
-// conversion (CPE parsing, datetime parsing, CVSS mapping) fans out to
-// the worker pool, and ReadFiles additionally decodes whole files
-// concurrently. Entry order is preserved exactly. n <= 0 selects
+// ReadFiles, StreamFiles). A single file is cut into chunks that end
+// between children of the root element, and the pool decodes the
+// chunks concurrently (see chunkPipeline in stream.go); several files
+// decode concurrently, one per worker. Entries, skip counts and errors
+// are identical to the serial reader's, in feed order. n <= 0 selects
 // GOMAXPROCS; the default is 1. The streaming Next path ignores this.
 func Workers(n int) ReaderOption {
 	return func(r *Reader) {
@@ -118,7 +126,7 @@ func Workers(n int) ReaderOption {
 
 // NewReader wraps an XML stream.
 func NewReader(src io.Reader, opts ...ReaderOption) *Reader {
-	r := &Reader{dec: xml.NewDecoder(src)}
+	r := &Reader{src: src}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -182,9 +190,6 @@ func (r *Reader) Next() (*cve.Entry, error) {
 		if err != nil {
 			return nil, err
 		}
-		if raw == nil {
-			continue // lenient decode skip
-		}
 		entry, err := raw.toEntry()
 		if err != nil {
 			if r.lenient {
@@ -197,22 +202,20 @@ func (r *Reader) Next() (*cve.Entry, error) {
 	}
 }
 
-// ReadAll drains the reader into a slice. With Workers(n > 1) the
-// structural XML decode stays sequential while the per-entry conversion
-// runs on the worker pool over a bounded window (see convertPipeline in
-// stream.go); results keep feed order.
+// ReadAll drains the reader into a slice. With Workers(n > 1) on a
+// reader that Next has not touched, chunks of the feed decode on the
+// worker pool (see chunkPipeline in stream.go). At every worker count
+// the result is the same: the entries in feed order and, on failure,
+// the entries before the failing one together with the error.
 func (r *Reader) ReadAll() ([]*cve.Entry, error) {
-	if r.workers > 1 {
-		var out []*cve.Entry
-		if err := r.convertPipeline(func(e *cve.Entry) bool {
+	var out []*cve.Entry
+	if r.workers > 1 && r.dec == nil {
+		err := r.chunkPipeline(func(e *cve.Entry) bool {
 			out = append(out, e)
 			return true
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
+		})
+		return out, err
 	}
-	var out []*cve.Entry
 	for {
 		e, err := r.Next()
 		if errors.Is(err, io.EOF) {

@@ -1,7 +1,7 @@
 package nvdfeed
 
 // This file is the bounded-channel streaming pipeline: entries flow from
-// the XML tokenizer to the consumer through fixed-capacity channels, so
+// the XML decoders to the consumer through fixed-capacity channels, so
 // feed sets far larger than memory ingest with a constant footprint. The
 // pipeline has three shapes, all emitting entries in exact feed order
 // (path order, in-file order), so every downstream digest is identical
@@ -9,18 +9,22 @@ package nvdfeed
 //
 //   - workers <= 1: one goroutine walks the files with the sequential
 //     Reader and sends entries through the output window.
-//   - one file, workers > 1: convertPipeline — the tokenizer fills a
-//     bounded window of raw elements, the worker pool converts them
-//     concurrently, and a collector emits the results in order.
+//   - one file, workers > 1: chunkPipeline — a splitter cuts the file
+//     into ~chunkBytes chunks that end between children of the root
+//     element (split.go), the worker pool decodes the chunks
+//     concurrently, and a collector emits the entries in order. Entries,
+//     skip counts and error text match the sequential Reader's.
 //   - many files, workers > 1: up to `workers` files decode concurrently
 //     (mirroring the old ReadFiles fan-out), each into its own bounded
 //     channel; the collector drains the per-file channels in path order.
 //
 // At most (workers + 1) × streamWindow entries are in flight at any
-// moment (the per-file/stage windows plus the output window) — a
-// constant, independent of feed volume.
+// moment (the per-file/per-chunk windows plus the output window), and
+// the within-file shape holds at most workers + 1 chunks of feed bytes
+// — constants, independent of feed volume.
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -178,7 +182,7 @@ func (st *Stream) pipelineFile(path string, opts []ReaderOption) error {
 		return err
 	}
 	defer r.Close()
-	return r.convertPipeline(func(e *cve.Entry) bool {
+	return r.chunkPipeline(func(e *cve.Entry) bool {
 		select {
 		case st.ch <- e:
 			return true
@@ -272,109 +276,130 @@ func decodeInto(path string, opts []ReaderOption, out chan<- *cve.Entry, quit <-
 	}
 }
 
-// convResult is one converted entry of the within-file pipeline.
+// convResult is one converted entry of a chunk: the entry, or the
+// conversion error the collector skips (lenient) or returns (strict).
 type convResult struct {
 	entry *cve.Entry
 	err   error
 }
 
-// convertPipeline is the bounded two-stage decode of one token stream:
-// the tokenizer goroutine fills a window of raw <entry> elements, the
-// worker pool converts them concurrently, and emit receives the results
-// in feed order. emit returns false to stop early. The returned error
-// is nil on a clean EOF or early stop. convertPipeline does not return
-// until the tokenizer goroutine has exited, so the caller may close the
-// underlying reader immediately afterwards.
+// chunkStream is one chunk's bounded leg of the within-file pipeline,
+// as fileStream is one file's.
+type chunkStream struct {
+	out chan convResult
+	err error // the chunk's terminal decode error; valid once out is closed
+}
+
+// chunkPipeline decodes one feed on the worker pool. A splitter
+// goroutine cuts the byte stream into chunks that end between children
+// of the root element (split.go); each chunk decodes on its own
+// goroutine with the serial nextRaw and toEntry code into a bounded
+// channel; and the collector, here, drains the chunks in feed order,
+// counting lenient skips and stopping at the first error exactly where
+// the serial reader would. emit returns false to stop early. The
+// returned error is nil on a clean EOF or early stop.
 //
-// Unlike the old readAllParallel, nothing buffers the whole feed: at
-// most streamWindow raw elements and their conversions are in flight.
-func (r *Reader) convertPipeline(emit func(*cve.Entry) bool) error {
-	workers := r.workers
-	if workers < 1 {
-		workers = 1
-	}
-	type job struct {
-		raw xmlEntry
-		fut chan convResult
-	}
-	tasks := make(chan job, streamWindow)
-	futs := make(chan chan convResult, streamWindow)
+// As in runMultiFile, a chunk's decoder starts only once the chunk is
+// queued, and the queue holds workers-1 chunks beyond the one being
+// drained, so at most `workers` chunks decode at once and at most
+// workers+1 chunks are held in memory, counting the one the splitter
+// fills. chunkPipeline does not return until every goroutine it started
+// has exited, so the caller may close the underlying reader next.
+func (r *Reader) chunkPipeline(emit func(*cve.Entry) bool) error {
+	workers := max(r.workers, 1)
+	chunks := make(chan *chunkStream, workers-1)
 	quit := make(chan struct{})
-	decDone := make(chan struct{})
+	var wg sync.WaitGroup
 	defer func() {
-		// Unwind the tokenizer on early exit, and never return while it
-		// may still be reading r's underlying stream (the caller closes
-		// the file next).
 		close(quit)
-		<-decDone
+		wg.Wait()
 	}()
 
-	// decodeErr is written by the tokenizer goroutine before it closes
-	// futs, so the collector reads it safely after the range ends.
-	var decodeErr error
+	wg.Add(1)
 	go func() {
-		defer close(decDone)
-		defer close(tasks)
-		defer close(futs)
+		defer wg.Done()
+		defer close(chunks)
+		sp := newSplitter(r.src)
 		for {
-			raw, err := r.nextRaw()
-			if err != nil {
-				if !errors.Is(err, io.EOF) {
-					decodeErr = err
-				}
-				return
-			}
-			if raw == nil {
-				continue // lenient decode skip
-			}
-			fut := make(chan convResult, 1)
+			ck, more := sp.next()
+			c := &chunkStream{out: make(chan convResult, streamWindow)}
 			select {
-			case tasks <- job{raw: *raw, fut: fut}:
+			case chunks <- c:
 			case <-quit:
 				return
 			}
-			select {
-			case futs <- fut:
-			case <-quit:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer close(c.out)
+				c.err = decodeChunk(ck, c.out, quit)
+			}()
+			if !more {
 				return
 			}
 		}
 	}()
-	for i := 0; i < workers; i++ {
-		go func() {
-			for j := range tasks {
-				e, err := j.raw.toEntry()
-				j.fut <- convResult{entry: e, err: err}
-			}
-		}()
-	}
 
-	for fut := range futs {
-		res := <-fut
-		if res.err != nil {
-			if r.lenient {
-				r.noteSkip()
-				continue
+	for c := range chunks {
+		for res := range c.out {
+			if res.err != nil {
+				if r.lenient {
+					r.noteSkip()
+					continue
+				}
+				return res.err
 			}
-			return res.err
+			if !emit(res.entry) {
+				return nil
+			}
 		}
-		if !emit(res.entry) {
+		if c.err != nil {
+			return c.err
+		}
+	}
+	return nil
+}
+
+// decodeChunk decodes one chunk with the serial code into out, stopping
+// early when quit closes.
+func decodeChunk(ck chunk, out chan<- convResult, quit <-chan struct{}) error {
+	defer putDoc(ck.doc)
+	var src io.Reader = bytes.NewReader(ck.doc)
+	if ck.tail != nil {
+		src = io.MultiReader(src, ck.tail)
+	}
+	r := &Reader{src: src, lineOffset: ck.lineOffset}
+	for {
+		raw, err := r.nextRaw()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		e, err := raw.toEntry()
+		select {
+		case out <- convResult{entry: e, err: err}:
+		case <-quit:
 			return nil
 		}
 	}
-	return decodeErr
 }
 
-// nextRaw returns the next raw <entry> element, (nil, nil) for a
-// leniently skipped undecodable element, or io.EOF at end of stream.
+// nextRaw returns the next raw <entry> element, or io.EOF at end of
+// stream. Every decode failure is terminal, in lenient mode too:
+// encoding/xml cannot resume after a syntax error.
 func (r *Reader) nextRaw() (*xmlEntry, error) {
+	if r.dec == nil {
+		r.dec = xml.NewDecoder(r.src)
+	}
 	for {
 		tok, err := r.dec.Token()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil, io.EOF
 			}
-			return nil, fmt.Errorf("nvdfeed: token: %w", err)
+			return nil, fmt.Errorf("nvdfeed: token: %w", r.fileLine(err))
 		}
 		start, ok := tok.(xml.StartElement)
 		if !ok || start.Name.Local != "entry" {
@@ -382,12 +407,18 @@ func (r *Reader) nextRaw() (*xmlEntry, error) {
 		}
 		var raw xmlEntry
 		if err := r.dec.DecodeElement(&raw, &start); err != nil {
-			if r.lenient {
-				r.noteSkip()
-				return nil, nil
-			}
-			return nil, fmt.Errorf("nvdfeed: decode entry: %w", err)
+			return nil, fmt.Errorf("nvdfeed: decode entry: %w", r.fileLine(err))
 		}
 		return &raw, nil
 	}
+}
+
+// fileLine shifts the line of an XML syntax error by the reader's line
+// offset, so a chunk's error names the line in the whole file.
+func (r *Reader) fileLine(err error) error {
+	var se *xml.SyntaxError
+	if r.lineOffset != 0 && errors.As(err, &se) {
+		se.Line += r.lineOffset
+	}
+	return err
 }
